@@ -153,21 +153,22 @@ let shield_stage ?(fanout_target = 4.) ~lib path ~at =
     Some (p, { stage = at; b1; b2; shield_area })
   end
 
+let area_at_result p = function
+  | Ok r ->
+    (r.Sensitivity.area, r.Sensitivity.sizing, r.Sensitivity.delay, r.Sensitivity.area)
+  | Error (`Infeasible tmin) ->
+    (* infeasible: objective value = huge + tmin so that lower tmin
+       still compares better among infeasible options *)
+    let x = Sensitivity.solve_worst ~a:0. p in
+    (1e12 +. tmin, x, Path.delay_worst p x, Path.area p x)
+
 let objective_eval ~objective p =
   match objective with
   | `Tmin ->
     (* shared Tmin definition so the semantics agree with Bounds *)
     let d, x, _ = Sensitivity.minimum_delay p in
     (d, x, d, Path.area p x)
-  | `Area_at tc -> (
-    match Sensitivity.size_for_constraint p ~tc with
-    | Ok r ->
-      (r.Sensitivity.area, r.Sensitivity.sizing, r.Sensitivity.delay, r.Sensitivity.area)
-    | Error (`Infeasible tmin) ->
-      (* infeasible: objective value = huge + tmin so that lower tmin
-         still compares better among infeasible options *)
-      let x = Sensitivity.solve_worst ~a:0. p in
-      (1e12 +. tmin, x, Path.delay_worst p x, Path.area p x))
+  | `Area_at tc -> area_at_result p (Sensitivity.size_for_constraint p ~tc)
 
 type accum = {
   a_path : Path.t;
@@ -182,7 +183,7 @@ type accum = {
 
 let max_insertion_trials = 8
 
-let insert_global ?(objective = `Tmin) ~lib path =
+let insert_global ?(objective = `Tmin) ?base:given ~lib path =
   (* the shield area participates in the `Area_at objective but not in
      `Tmin (where the score is the delay) *)
   let score_of ~raw_score ~extra =
@@ -192,7 +193,26 @@ let insert_global ?(objective = `Tmin) ~lib path =
     let raw, x, d, a = objective_eval ~objective p in
     (score_of ~raw_score:raw ~extra, x, d, a)
   in
-  let score0, x0, d0, a0 = eval path 0. in
+  (* [Some] evaluation of [p] when it beats [incumbent].  Under `Area_at
+     a candidate whose minimum-drive area plus shield area already fails
+     to beat it would be rolled back, so it is not re-sized (why this
+     floor is exact: see the .mli) *)
+  let improves p extra ~incumbent =
+    let floor_fails =
+      match objective with
+      | `Tmin -> false
+      | `Area_at _ -> Path.area p (Path.min_sizing p) +. extra >= incumbent -. 1e-9
+    in
+    if floor_fails then None
+    else
+      let ((score', _, _, _) as r) = eval p extra in
+      if score' < incumbent -. 1e-9 then Some r else None
+  in
+  let score0, x0, d0, a0 =
+    match (objective, given) with
+    | `Area_at _, Some b -> area_at_result path b
+    | _ -> eval path 0.
+  in
   let base =
     {
       a_path = path;
@@ -229,27 +249,25 @@ let insert_global ?(objective = `Tmin) ~lib path =
   let after_shields =
     let batch = shield_all base nodes in
     if batch.a_shields = [] then base
-    else begin
-      let score', x', d', a' = eval batch.a_path batch.a_extra in
-      if score' < base.a_score -. 1e-9 then
+    else
+      match improves batch.a_path batch.a_extra ~incumbent:base.a_score with
+      | Some (score', x', d', a') ->
         { batch with a_score = score'; a_sizing = x'; a_delay = d'; a_area = a' }
-      else begin
+      | None ->
         (* per-node fallback *)
         List.fold_left
           (fun acc at ->
             match shield_stage ~lib acc.a_path ~at with
             | None -> acc
-            | Some (p', sh) ->
+            | Some (p', sh) -> (
               let extra = acc.a_extra +. sh.shield_area in
-              let score', x', d', a' = eval p' extra in
-              if score' < acc.a_score -. 1e-9 then
+              match improves p' extra ~incumbent:acc.a_score with
+              | Some (score', x', d', a') ->
                 { a_path = p'; a_score = score'; a_sizing = x'; a_delay = d';
                   a_area = a'; a_extra = extra; a_pairs = acc.a_pairs;
                   a_shields = sh :: acc.a_shields }
-              else acc)
+              | None -> acc))
           base nodes
-      end
-    end
   in
   (* Phase 2 - series pairs on the most overloaded remaining nodes, one
      greedy accept/reject each (descending stage order keeps indices
@@ -260,11 +278,11 @@ let insert_global ?(objective = `Tmin) ~lib path =
   in
   let step acc at =
     let p' = insert_pair ~lib acc.a_path ~at in
-    let score', x', d', a' = eval p' acc.a_extra in
-    if score' < acc.a_score -. 1e-9 then
+    match improves p' acc.a_extra ~incumbent:acc.a_score with
+    | Some (score', x', d', a') ->
       { acc with a_path = p'; a_score = score'; a_sizing = x'; a_delay = d';
         a_area = a'; a_pairs = at :: acc.a_pairs }
-    else acc
+    | None -> acc
   in
   let final = List.fold_left step after_shields pair_candidates in
   {

@@ -108,6 +108,7 @@ val insert_local :
 
 val insert_global :
   ?objective:[ `Tmin | `Area_at of float ] ->
+  ?base:(Sensitivity.constraint_result, [ `Infeasible of float ]) result ->
   lib:Pops_cell.Library.t ->
   Pops_delay.Path.t ->
   insertion_result
@@ -118,4 +119,18 @@ val insert_global :
     tentative move the whole path is re-sized — minimum delay for
     [`Tmin] (Table 3), minimum area meeting the constraint for
     [`Area_at tc] (Fig. 8's "Global Buff").  Moves that do not improve
-    the objective are rolled back. *)
+    the objective are rolled back.
+
+    Under [`Area_at tc] a move is not re-sized when its area floor —
+    the path area at the minimum-drive sizing plus all shield area —
+    already fails to beat the incumbent.  The floor is exact: every
+    sizing the constraint sizer returns is clamped to at least the
+    minimum drive, [Cell.area] is linear in [cin] with a positive
+    coefficient, IEEE rounding is monotone (the floor is the same
+    [Path.area] summation the score uses), and an infeasible move scores
+    [1e12 + tmin]; so the pruned move would have been rolled back, and
+    the result is the one the unpruned loop returns.
+
+    [base] is [Sensitivity.size_for_constraint path ~tc] for the
+    unmodified [path], when the caller already has it (the protocol's
+    sizing candidate); it is used only under [`Area_at tc]. *)

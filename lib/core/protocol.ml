@@ -39,8 +39,9 @@ type candidate = {
 
 let met_tc ~tc delay = delay <= tc *. (1. +. 1e-6) +. 0.02
 
-let sizing_candidate path ~tc =
-  match Sensitivity.size_for_constraint path ~tc with
+(* [solved] is [Sensitivity.size_for_constraint path ~tc] *)
+let sizing_candidate path solved =
+  match solved with
   | Ok r ->
     Some
       {
@@ -59,8 +60,8 @@ let sizing_candidate path ~tc =
 let buffer_count (r : Buffers.insertion_result) =
   (2 * List.length r.Buffers.inserted_after) + (2 * List.length r.Buffers.shields)
 
-let buffers_candidate ~lib path ~tc =
-  let r = Buffers.insert_global ~objective:(`Area_at tc) ~lib path in
+let buffers_candidate ?base ~lib path ~tc =
+  let r = Buffers.insert_global ~objective:(`Area_at tc) ?base ~lib path in
   if buffer_count r = 0 then None
   else
     Some
@@ -140,8 +141,6 @@ let finalize ~tc ~bounds ~domain c =
 let run ?(allow_restructure = true) ~lib ~tc path =
   let bounds = Bounds.compute path in
   let domain = Domains.classify ~tmin:bounds.Bounds.tmin ~tc in
-  let sizing () = sizing_candidate path ~tc in
-  let buffers () = buffers_candidate ~lib path ~tc in
   let maybe_restructure () =
     if allow_restructure then restructure_candidate ~lib path ~tc else None
   in
@@ -152,9 +151,17 @@ let run ?(allow_restructure = true) ~lib ~tc path =
      domain count *)
   let generators =
     match domain with
-    | Domains.Weak -> [ sizing ]
-    | Domains.Medium | Domains.Hard -> [ sizing; buffers; maybe_restructure ]
-    | Domains.Infeasible -> [ buffers; maybe_restructure ]
+    | Domains.Weak ->
+      [ (fun () -> sizing_candidate path (Sensitivity.size_for_constraint path ~tc)) ]
+    | Domains.Medium | Domains.Hard ->
+      (* the sizing alternative is also buffer insertion's starting
+         point: solve it once, before the fan-out *)
+      let base = Sensitivity.size_for_constraint path ~tc in
+      [ (fun () -> sizing_candidate path base);
+        (fun () -> buffers_candidate ~base ~lib path ~tc);
+        maybe_restructure ]
+    | Domains.Infeasible ->
+      [ (fun () -> buffers_candidate ~lib path ~tc); maybe_restructure ]
   in
   (* contained fan-out: a crashing candidate generator degrades to a
      diagnostic and drops out of the comparison instead of killing the

@@ -618,15 +618,19 @@ let bisect_for_beta_o ?accel ~beta path ~tc =
    tc": when one constraint binds, the pure single-polarity link
    equations are exact; when both bind, the optimal weighting lies
    between — area(beta) is unimodal, so after a coarse grid a short
-   golden-section refinement on [beta] finds it. *)
+   golden-section refinement on [beta] finds it.
+
+   The minimum-drive sizing is tested first: when it meets [tc] it is
+   the minimum-area answer, and the one delay evaluation that shows it
+   is far cheaper than the Tmin characterisation. *)
 let size_for_constraint ?(tol_ps = 0.01) path ~tc =
-  let tmin, x_tmin, beta_tmin = minimum_delay path in
-  let grid = [ 1.0; 0.0; 0.5; beta_tmin ] in
-  if tc < tmin -. tol_ps then Error (`Infeasible tmin)
+  let x_min_area = Path.min_sizing path in
+  let tmax = Path.delay_worst path x_min_area in
+  if tc >= tmax then Ok (result_of path Float.neg_infinity x_min_area)
   else begin
-    let x_min_area = Path.min_sizing path in
-    let tmax = Path.delay_worst path x_min_area in
-    if tc >= tmax then Ok (result_of path Float.neg_infinity x_min_area)
+    let tmin, x_tmin, beta_tmin = minimum_delay path in
+    let grid = [ 1.0; 0.0; 0.5; beta_tmin ] in
+    if tc < tmin -. tol_ps then Error (`Infeasible tmin)
     else begin
       let cache = Hashtbl.create 16 in
       let candidate beta =

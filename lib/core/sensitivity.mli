@@ -170,8 +170,10 @@ val size_for_constraint :
 (** [size_for_constraint path ~tc] finds by bisection on [a] the
     minimum-area sizing whose delay meets [tc].  [`Infeasible tmin] when
     [tc] is below the path's minimum achievable delay (the caller must
-    then modify the structure — Section 4). When [tc] exceeds the
-    minimum-drive delay the all-minimum sizing is returned. *)
+    then modify the structure — Section 4). When [tc] is at or above
+    the minimum-drive delay [Tmax] the all-minimum sizing is returned;
+    that test comes first and costs one delay evaluation and no sweeps
+    (Tmin is only characterised when [tc < Tmax]). *)
 
 val sweeps_performed : unit -> int
 (** Total link-equation sweeps executed by this process so far — one

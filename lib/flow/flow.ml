@@ -381,6 +381,11 @@ let optimize ?budget ?(max_rounds = 20) ?(allow_restructure = true)
     if vt_assign then Some (Vt_assign.run ~lib ~tc ~timing:!timing t)
     else None
   in
+  (* a threshold swap slows its gate: report the delay of the netlist
+     the flow returns, which the pass re-timed incrementally *)
+  let final_delay =
+    if Option.is_some vt then Timing.critical_delay !timing else final_delay
+  in
   let loop_ms = 1000. *. (Unix.gettimeofday () -. t_loop) in
   {
     outcome;

@@ -420,6 +420,115 @@ let () =
       requiref (r.Buffers.delay <= (before *. (1. +. 1e-9)) +. 1e-6)
         "local insertion worsened the path: %.6g -> %.6g" before r.Buffers.delay)
 
+(* An oracle for the area-floor pruning in Buffers.insert_global: the
+   greedy loop as it was before the floor, re-sizing every candidate.
+   Built from public pieces only (overload ratios from path_fanouts and
+   flimit, the same series-pair surgery, the same constraint sizer). *)
+module Unpruned_global = struct
+  let max_trials = 8
+
+  let eval ~tc p extra =
+    match Sens.size_for_constraint p ~tc with
+    | Ok r -> (r.Sens.area +. extra, r.Sens.sizing, r.Sens.delay, r.Sens.area)
+    | Error (`Infeasible tmin) ->
+      let x = Sens.solve_worst ~a:0. p in
+      (1e12 +. tmin +. extra, x, Path.delay_worst p x, Path.area p x)
+
+  let insert_pair ~lib p ~at =
+    let inv = Library.inverter lib in
+    let st = p.Path.stages.(at) in
+    let p = Path.with_stage_replaced p ~at { st with Path.branch = 0. } in
+    let p = Path.with_stage_inserted p ~at { Path.cell = inv; branch = 0. } in
+    Path.with_stage_inserted p ~at:(at + 1) { Path.cell = inv; branch = st.Path.branch }
+
+  (* (path, score, sizing, delay, area, extra, pairs, shields) *)
+  let run ~lib ~tc path =
+    let fanouts = Buffers.path_fanouts path (Path.min_sizing path) in
+    let ratios =
+      Array.mapi
+        (fun i f ->
+          let kind = path.Path.stages.(i).Path.cell.Cell.kind in
+          f /. Buffers.flimit ~lib ~driver:Gate_kind.Inv ~gate:kind ())
+        fanouts
+    in
+    let nodes =
+      Array.to_list (Array.mapi (fun i r -> (i, r)) ratios)
+      |> List.filter (fun (_, r) -> r > 1.)
+      |> List.sort (fun (_, r1) (_, r2) -> compare r2 r1)
+      |> List.map fst
+    in
+    let s0, x0, d0, a0 = eval ~tc path 0. in
+    let base = (path, s0, x0, d0, a0, 0., [], []) in
+    let batch_p, batch_extra, batch_sh =
+      List.fold_left
+        (fun (p, e, shs) at ->
+          match Buffers.shield_stage ~lib p ~at with
+          | None -> (p, e, shs)
+          | Some (p', sh) -> (p', e +. sh.Buffers.shield_area, sh :: shs))
+        (path, 0., []) nodes
+    in
+    let after_shields =
+      if batch_sh = [] then base
+      else
+        let s', x', d', a' = eval ~tc batch_p batch_extra in
+        if s' < s0 -. 1e-9 then (batch_p, s', x', d', a', batch_extra, [], batch_sh)
+        else
+          List.fold_left
+            (fun ((p, sc, _, _, _, e, prs, shs) as acc) at ->
+              match Buffers.shield_stage ~lib p ~at with
+              | None -> acc
+              | Some (p', sh) ->
+                let e' = e +. sh.Buffers.shield_area in
+                let s', x', d', a' = eval ~tc p' e' in
+                if s' < sc -. 1e-9 then (p', s', x', d', a', e', prs, sh :: shs)
+                else acc)
+            base nodes
+    in
+    List.filteri (fun rank _ -> rank < max_trials) nodes
+    |> List.sort (fun a b -> compare b a)
+    |> List.fold_left
+         (fun ((p, sc, _, _, _, e, prs, shs) as acc) at ->
+           let p' = insert_pair ~lib p ~at in
+           let s', x', d', a' = eval ~tc p' e in
+           if s' < sc -. 1e-9 then (p', s', x', d', a', e, at :: prs, shs) else acc)
+         after_shields
+end
+
+(* heavy uniform branches (up to 600 fF) make most stages overloaded,
+   so the batch shield, the per-node fallback and the series pairs all
+   run; tc spans below Tmin (infeasible candidates) to above Tmax *)
+let () =
+  Prop.register ~cases:30 ~name:"buffers.area_floor_exact"
+    (Gen.pair (C.path_spec ~max_stages:7 ())
+       (Gen.pair (Gen.float_range 1. 30.) (Gen.float_range (-0.3) 1.2)))
+    (fun (s, (branch_x, u)) ->
+      let s = { s with C.branch = s.C.branch *. branch_x } in
+      let p = path_of s in
+      let lib = C.library s.C.p_tech in
+      let b = Bounds.compute p in
+      let tc = b.Bounds.tmin +. (u *. (b.Bounds.tmax -. b.Bounds.tmin)) in
+      let r = Buffers.insert_global ~objective:(`Area_at tc) ~lib p in
+      let p', _, x', d', a', e', prs', shs' = Unpruned_global.run ~lib ~tc p in
+      let bits = Int64.bits_of_float in
+      let same_stage (x : Path.stage) (y : Path.stage) =
+        x.Path.cell == y.Path.cell && bits x.Path.branch = bits y.Path.branch
+      in
+      requiref
+        (Path.length r.Buffers.path = Path.length p'
+        && Array.for_all2 same_stage r.Buffers.path.Path.stages p'.Path.stages)
+        "pruned structure differs: %d vs %d stages" (Path.length r.Buffers.path)
+        (Path.length p');
+      require
+        (Array.length r.Buffers.sizing = Array.length x'
+        && Array.for_all2 (fun u v -> bits u = bits v) r.Buffers.sizing x')
+        "pruned sizing differs from the unpruned loop";
+      requiref (bits r.Buffers.delay = bits d') "delay %.17g <> unpruned %.17g"
+        r.Buffers.delay d';
+      requiref (bits r.Buffers.area = bits (a' +. e')) "area %.17g <> unpruned %.17g"
+        r.Buffers.area (a' +. e');
+      require (r.Buffers.inserted_after = List.rev prs') "series pairs differ";
+      require (r.Buffers.shields = List.rev shs') "shields differ")
+
 (* ================================================================== *)
 (* netlists, logic, transforms                                         *)
 (* ================================================================== *)

@@ -140,21 +140,33 @@ let test_size_for_constraint_meets_tc () =
       (r.Sens.area <= Path.area path11 b.Bounds.sizing_tmin +. 1e-6)
   | Error (`Infeasible _) -> Alcotest.fail "1.3 Tmin must be feasible"
 
+(* well below Tmin, and just past the [tol_ps] edge (which the Tmax-first
+   exit must leave alone): infeasible, reporting the shared Tmin *)
 let test_size_for_constraint_infeasible () =
-  let b = Bounds.compute path11 in
-  match Sens.size_for_constraint path11 ~tc:(0.9 *. b.Bounds.tmin) with
-  | Error (`Infeasible tmin) ->
-    Alcotest.(check bool) "reports tmin" true (Float.abs (tmin -. b.Bounds.tmin) < 0.5)
-  | Ok _ -> Alcotest.fail "sub-Tmin constraint must be infeasible"
+  let tmin = Bounds.tmin path11 in
+  List.iter
+    (fun tc ->
+      match Sens.size_for_constraint ~tol_ps:0.01 path11 ~tc with
+      | Error (`Infeasible t) -> Alcotest.(check (float 0.)) "reports tmin" tmin t
+      | Ok _ -> Alcotest.failf "tc = %g below tmin %g must be infeasible" tc tmin)
+    [ 0.9 *. tmin; tmin -. 0.02 ]
 
+(* at or above Tmax the minimum-drive sizing is the answer, found
+   without a Tmin characterisation (no sweep); the boundary tc = Tmax
+   takes the same exit *)
 let test_size_for_constraint_loose () =
   let tmax = Bounds.tmax path11 in
-  match Sens.size_for_constraint path11 ~tc:(2. *. tmax) with
-  | Ok r ->
-    let min_area = Path.area path11 (Path.min_sizing path11) in
-    Alcotest.(check bool) "loose constraint -> minimum area" true
-      (N.close ~rtol:1e-6 min_area r.Sens.area)
-  | Error _ -> Alcotest.fail "loose constraint must be feasible"
+  let x_min = Path.min_sizing path11 in
+  List.iter
+    (fun tc ->
+      let sweeps0 = Sens.sweeps_performed () in
+      match Sens.size_for_constraint path11 ~tc with
+      | Ok r ->
+        Alcotest.(check int) "no sweeps" 0 (Sens.sweeps_performed () - sweeps0);
+        Alcotest.(check (array (float 0.))) "minimum-drive sizing" x_min r.Sens.sizing;
+        Alcotest.(check (float 0.)) "minimum area" (Path.area path11 x_min) r.Sens.area
+      | Error _ -> Alcotest.failf "tc = %g >= tmax must be feasible" tc)
+    [ tmax; 2. *. tmax ]
 
 let test_frozen_stages_kept () =
   let x0 = Path.min_sizing path5 in
@@ -268,6 +280,22 @@ let test_global_insertion_never_worse () =
   let b = Bounds.compute path5 in
   let r = Buffers.insert_global ~objective:`Tmin ~lib path5 in
   Alcotest.(check bool) "no regression" true (r.Buffers.delay <= b.Bounds.tmin +. 1e-6)
+
+(* the protocol hands its sizing solve to insert_global as [base]:
+   the result must be the one insert_global computes on its own *)
+let test_global_insertion_given_base () =
+  let b = Bounds.compute heavy_path in
+  let tc = 1.2 *. b.Bounds.tmin in
+  let base = Sens.size_for_constraint heavy_path ~tc in
+  let own = Buffers.insert_global ~objective:(`Area_at tc) ~lib heavy_path in
+  let given = Buffers.insert_global ~objective:(`Area_at tc) ~base ~lib heavy_path in
+  Alcotest.(check bool) "buffers inserted" true
+    (own.Buffers.inserted_after <> [] || own.Buffers.shields <> []);
+  Alcotest.(check (array (float 0.))) "sizing" own.Buffers.sizing given.Buffers.sizing;
+  Alcotest.(check (float 0.)) "area" own.Buffers.area given.Buffers.area;
+  Alcotest.(check (float 0.)) "delay" own.Buffers.delay given.Buffers.delay;
+  Alcotest.(check (list int)) "pairs" own.Buffers.inserted_after given.Buffers.inserted_after;
+  Alcotest.(check bool) "shields" true (own.Buffers.shields = given.Buffers.shields)
 
 let test_local_insertion_keeps_original_sizes () =
   let b = Bounds.compute heavy_path in
@@ -838,6 +866,7 @@ let () =
           Alcotest.test_case "shield dilutes branch" `Quick test_shield_stage_dilutes;
           Alcotest.test_case "shield rejects small branch" `Quick test_shield_stage_rejects_small_branch;
           Alcotest.test_case "global insertion never worse" `Quick test_global_insertion_never_worse;
+          Alcotest.test_case "global insertion given base" `Quick test_global_insertion_given_base;
           Alcotest.test_case "local insertion keeps sizes" `Quick test_local_insertion_keeps_original_sizes;
         ] );
       ( "restructure",

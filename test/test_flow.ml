@@ -63,6 +63,20 @@ let test_flow_reports_consistent () =
   Alcotest.(check bool) "final area = netlist" true
     (Float.abs (r.Flow.final_area -. Netlist.total_area t lib) < 1e-6)
 
+(* the Vt pass slows the gates it swaps: the reported final delay is
+   that of the returned netlist, bit for bit what a from-scratch
+   reference analysis finds *)
+let test_flow_vt_final_delay () =
+  let t = fresh "flowvt" 16 in
+  let d0 = sta_delay t in
+  let r = Flow.optimize ~vt_assign:true ~lib ~tc:(1.1 *. d0) t in
+  (match r.Flow.vt with
+  | Some v -> Alcotest.(check bool) "swaps accepted" true (v.Pops_flow.Vt_assign.accepted > 0)
+  | None -> Alcotest.fail "vt_assign:true returned no vt report");
+  Alcotest.(check (float 0.)) "final delay = reference STA"
+    (Timing.critical_delay (Timing.analyze_reference ~lib t))
+    r.Flow.final_delay
+
 let test_flow_on_adder () =
   let t = Builder.ripple_carry_adder tech ~bits:8 ~out_load:20. in
   let d0 = sta_delay t in
@@ -97,6 +111,7 @@ let () =
           Alcotest.test_case "noop when already met" `Quick test_flow_noop_when_already_met;
           Alcotest.test_case "report consistent" `Quick test_flow_reports_consistent;
           Alcotest.test_case "ripple adder" `Quick test_flow_on_adder;
+          Alcotest.test_case "vt final delay" `Quick test_flow_vt_final_delay;
           qtest prop_flow_keeps_logic_and_validity;
         ] );
     ]
